@@ -6,6 +6,7 @@ import (
 
 	"hybridship/internal/catalog"
 	"hybridship/internal/plan"
+	"hybridship/internal/plan/plantest"
 )
 
 // fuzzCatalog is a small schema with two homed relations; "Z" stays
@@ -23,67 +24,6 @@ func fuzzCatalog() *catalog.Catalog {
 	return cat
 }
 
-// treeBuilder decodes a byte stream into an arbitrary annotated operator
-// tree — including structurally broken ones (missing children, display
-// below the root, out-of-range kinds and annotations), since the
-// well-formedness checkers must reject those gracefully rather than panic.
-type treeBuilder struct {
-	data []byte
-	pos  int
-}
-
-func (b *treeBuilder) next() byte {
-	if b.pos >= len(b.data) {
-		return 0
-	}
-	c := b.data[b.pos]
-	b.pos++
-	return c
-}
-
-func (b *treeBuilder) build(depth int) *plan.Node {
-	op := b.next()
-	if depth <= 0 {
-		op %= 3 // force a leaf (or nil) once deep
-	}
-	newNode := func(k plan.Kind, left, right *plan.Node) *plan.Node {
-		n := &plan.Node{Kind: k, Left: left, Right: right}
-		// Valid annotation most of the time, arbitrary (possibly
-		// out-of-range) otherwise.
-		a := b.next()
-		if a&0x80 != 0 {
-			n.Ann = plan.Annotation(int8(a))
-		} else {
-			n.Ann = plan.Annotation(a % 6)
-		}
-		return n
-	}
-	switch op % 8 {
-	case 0:
-		return nil
-	case 1:
-		n := newNode(plan.KindScan, nil, nil)
-		n.Table = []string{"A", "B", "Z", ""}[int(b.next())%4]
-		return n
-	case 2:
-		return plan.NewScan([]string{"A", "B"}[int(b.next())%2])
-	case 3:
-		return newNode(plan.KindJoin, b.build(depth-1), b.build(depth-1))
-	case 4:
-		n := newNode(plan.KindSelect, b.build(depth-1), nil)
-		n.Rel = "A"
-		return n
-	case 5:
-		return newNode(plan.KindAgg, b.build(depth-1), nil)
-	case 6:
-		// Display in an arbitrary position (only legal at the root).
-		return newNode(plan.KindDisplay, b.build(depth-1), nil)
-	default:
-		// Out-of-range kind: checkers must reject, not panic.
-		return newNode(plan.Kind(int8(b.next())), b.build(depth-1), nil)
-	}
-}
-
 // FuzzPlanWellFormed feeds random annotated trees through the plan
 // validators and the binder. Invariants: nothing panics on any input, a
 // plan the checkers accept binds successfully with every node bound, and
@@ -99,8 +39,8 @@ func FuzzPlanWellFormed(f *testing.F) {
 
 	cat := fuzzCatalog()
 	f.Fuzz(func(t *testing.T, data []byte) {
-		tb := &treeBuilder{data: data}
-		root := tb.build(12)
+		tb := &plantest.Builder{Data: data, Tables: []string{"A", "B"}}
+		root := tb.Build(12)
 
 		// None of the checkers may panic, whatever the tree looks like.
 		structErr := plan.CheckStructure(root)
