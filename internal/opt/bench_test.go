@@ -41,7 +41,7 @@ func BenchmarkNeighborEvaluate(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		moves := st.ensureMoves()
 		mv := moves[st.rng.Intn(len(moves))]
-		applyMove(st.nodes, mv, st.opts.Policy, st.o.model.Catalog, &u)
+		applyMove(&st.ix, mv, st.opts.Policy, &u)
 		st.evaluate() // ok=false (an ill-formed candidate) is a normal outcome
 		u.revert()
 	}

@@ -25,11 +25,11 @@ const (
 	mvScanCopy // point a scan at another replica of its relation
 )
 
-// move is one candidate transformation: a node (identified by its pre-order
-// index into the step's node slice) plus a kind and, for annotation moves, a
-// slot selecting the target among the policy's allowed annotations for that
-// node, skipping the node's current one. Slot-based targets keep the move
-// list a function of the tree's *shape* only (the number of allowed
+// move is one candidate transformation: a node (identified by its slot in
+// the search's plan.Index) plus a kind and, for annotation moves, a slot
+// selecting the target among the policy's allowed annotations for that
+// node, skipping the node's current one. Slot-based targets keep the
+// move list a function of the tree's *shape* only (the number of allowed
 // annotations depends on kind and policy, never on the current annotation),
 // so the enumeration can be cached across annotation-only moves.
 type move struct {
@@ -38,80 +38,77 @@ type move struct {
 	slot    int
 }
 
-// indexNodes rebuilds the pre-order node index into buf (reusing its backing
-// array) and returns it. The index replaces per-move O(n) tree walks: move
-// application resolves its target node with one slice lookup.
-func indexNodes(root *plan.Node, buf []*plan.Node) []*plan.Node {
-	buf = buf[:0]
-	var rec func(n *plan.Node)
-	rec = func(n *plan.Node) {
-		if n == nil {
-			return
+// scanMasks returns, per slot of ix, the query bitmask of the relation a
+// scan reads and 0 for every other node, reusing buf.
+func scanMasks(q *query.Query, ix *plan.Index, buf []uint64) []uint64 {
+	masks := buf[:0]
+	for _, n := range ix.Nodes {
+		var m uint64
+		if n.Kind == plan.KindScan {
+			m = q.RelMask(n.Table)
 		}
-		buf = append(buf, n)
-		rec(n.Left)
-		rec(n.Right)
+		masks = append(masks, m)
 	}
-	rec(root)
-	return buf
+	return masks
 }
 
-// subtreeMask returns the base-relation bitmask scanned under a node; the
-// allocation-free counterpart of plan.Node.BaseTables for mask-capable
-// queries.
-func subtreeMask(q *query.Query, n *plan.Node) uint64 {
-	if n == nil {
-		return 0
+// subtreeMasks sets every non-scan slot's mask to the union of its
+// children's, so each slot holds the base relations scanned under it.
+// Walking the pre-order backwards sees every child before its parent.
+func subtreeMasks(ix *plan.Index, order []int, masks []uint64) {
+	for j := len(order) - 1; j >= 0; j-- {
+		s := order[j]
+		if ix.Nodes[s].Kind == plan.KindScan {
+			continue
+		}
+		masks[s] = 0
+		if l := ix.Left[s]; l >= 0 {
+			masks[s] |= masks[l]
+		}
+		if r := ix.Right[s]; r >= 0 {
+			masks[s] |= masks[r]
+		}
 	}
-	if n.Kind == plan.KindScan {
-		return q.RelMask(n.Table)
-	}
-	return subtreeMask(q, n.Left) | subtreeMask(q, n.Right)
 }
 
-// candidateMoves enumerates every legal move on the plan under the policy,
-// appending into buf. Join-order moves are offered only when the resulting
-// joins avoid Cartesian products; annotation moves are offered only for
-// annotations the policy allows (Table 1) — which is how the optimizer is
-// "configured to generate plans from one of the three policies" (§3.1.1).
+// candidateMoves enumerates every legal move on the indexed plan under the
+// policy, visiting slots in the given pre-order and appending into buf.
+// Join-order moves are offered only when the resulting joins avoid
+// Cartesian products (masks holds each slot's subtree relations);
+// annotation moves are offered only for annotations the policy allows
+// (Table 1) — which is how the optimizer is "configured to generate plans
+// from one of the three policies" (§3.1.1).
 // Copy moves exist only for replicated relations under policies that permit
 // server-side scans, so an unreplicated catalog enumerates exactly the
 // legacy move list. The result depends only on the tree's shape (plus the
 // fixed policy and catalog), so callers cache it until a join-order move is
 // accepted.
-func candidateMoves(q *query.Query, opts Options, cat *catalog.Catalog, nodes []*plan.Node, buf []move) []move {
-	if q.MaskSupported() {
-		return candidateMovesMask(q, opts, cat, nodes, buf)
-	}
-	return candidateMovesMaps(q, opts, cat, nodes, buf)
-}
-
-// candidateMovesMask is the allocation-free enumeration over relation
-// bitmasks, used for every query of at most 64 relations.
-func candidateMovesMask(q *query.Query, opts Options, cat *catalog.Catalog, nodes []*plan.Node, buf []move) []move {
+func candidateMoves(q *query.Query, opts Options, ix *plan.Index, order []int, masks []uint64, buf []move) []move {
 	moves := buf[:0]
-	for i, n := range nodes {
-		switch n.Kind {
+	for _, i := range order {
+		switch n := ix.Nodes[i]; n.Kind {
 		case plan.KindJoin:
+			a, b := ix.Left[i], ix.Right[i]
+			aJoin, bJoin := ix.Nodes[a].Kind == plan.KindJoin, ix.Nodes[b].Kind == plan.KindJoin
 			if !opts.FixedJoinOrder && opts.LeftDeepOnly {
-				a, b := n.Left, n.Right
-				if a.Kind == plan.KindJoin {
-					tx, ta := subtreeMask(q, a.Left), subtreeMask(q, a.Right)
-					tb := subtreeMask(q, b)
+				// Moves closed over the left-deep space: swap the outer with
+				// the adjacent lower outer, and commute the bottom join.
+				// Both are compositions of the paper's moves 1-4 (e.g.
+				// (X⋈A)⋈B → X⋈(A⋈B) → (X⋈B)⋈A).
+				if aJoin {
+					tx, ta, tb := masks[ix.Left[a]], masks[ix.Right[a]], masks[b]
 					if q.ConnectedMask(tx, tb) && q.ConnectedMask(tx|tb, ta) {
 						moves = append(moves, move{i, mvSwapAdjacent, 0})
 					}
 				}
-				if opts.Commutativity && a.Kind != plan.KindJoin {
+				if opts.Commutativity && !aJoin {
 					moves = append(moves, move{i, mvCommute, 0})
 				}
 			}
 			if !opts.FixedJoinOrder && !opts.LeftDeepOnly {
-				a, b := n.Left, n.Right
-				if a.Kind == plan.KindJoin {
+				if aJoin {
 					// (A⋈B)⋈C with A=a.Left, B=a.Right, C=b
-					ta, tb := subtreeMask(q, a.Left), subtreeMask(q, a.Right)
-					tc := subtreeMask(q, b)
+					ta, tb, tc := masks[ix.Left[a]], masks[ix.Right[a]], masks[b]
 					if q.ConnectedMask(tb, tc) && q.ConnectedMask(ta, tb|tc) {
 						moves = append(moves, move{i, mvAssocLeftToRight, 0})
 					}
@@ -119,10 +116,9 @@ func candidateMovesMask(q *query.Query, opts Options, cat *catalog.Catalog, node
 						moves = append(moves, move{i, mvExchangeLeft, 0})
 					}
 				}
-				if b.Kind == plan.KindJoin {
+				if bJoin {
 					// A⋈(B⋈C) with A=a, B=b.Left, C=b.Right
-					ta := subtreeMask(q, a)
-					tb, tc := subtreeMask(q, b.Left), subtreeMask(q, b.Right)
+					ta, tb, tc := masks[a], masks[ix.Left[b]], masks[ix.Right[b]]
 					if q.ConnectedMask(ta, tb) && q.ConnectedMask(ta|tb, tc) {
 						moves = append(moves, move{i, mvAssocRightToLeft, 0})
 					}
@@ -139,67 +135,7 @@ func candidateMovesMask(q *query.Query, opts Options, cat *catalog.Catalog, node
 			moves = appendAnnMoves(moves, i, mvSelectAnn, n.Kind, opts.Policy)
 		case plan.KindScan:
 			moves = appendAnnMoves(moves, i, mvScanAnn, plan.KindScan, opts.Policy)
-			moves = appendCopyMoves(moves, i, n, cat, opts.Policy)
-		}
-	}
-	return moves
-}
-
-// candidateMovesMaps is the map-set fallback for queries too wide for
-// bitmasks.
-func candidateMovesMaps(q *query.Query, opts Options, cat *catalog.Catalog, nodes []*plan.Node, buf []move) []move {
-	moves := buf[:0]
-	for i, n := range nodes {
-		switch n.Kind {
-		case plan.KindJoin:
-			if !opts.FixedJoinOrder && opts.LeftDeepOnly {
-				// Moves closed over the left-deep space: swap the outer with
-				// the adjacent lower outer, and commute the bottom join.
-				// Both are compositions of the paper's moves 1-4 (e.g.
-				// (X⋈A)⋈B → X⋈(A⋈B) → (X⋈B)⋈A).
-				a, b := n.Left, n.Right
-				if a.Kind == plan.KindJoin {
-					tx, ta, tb := a.Left.BaseTables(), a.Right.BaseTables(), b.BaseTables()
-					if q.Connected(tx, tb) && q.Connected(union(tx, tb), ta) {
-						moves = append(moves, move{i, mvSwapAdjacent, 0})
-					}
-				}
-				if opts.Commutativity && a.Kind != plan.KindJoin {
-					moves = append(moves, move{i, mvCommute, 0})
-				}
-			}
-			if !opts.FixedJoinOrder && !opts.LeftDeepOnly {
-				a, b := n.Left, n.Right
-				if a.Kind == plan.KindJoin {
-					// (A⋈B)⋈C with A=a.Left, B=a.Right, C=b
-					ta, tb, tc := a.Left.BaseTables(), a.Right.BaseTables(), b.BaseTables()
-					if q.Connected(tb, tc) && q.Connected(ta, union(tb, tc)) {
-						moves = append(moves, move{i, mvAssocLeftToRight, 0})
-					}
-					if q.Connected(ta, tc) && q.Connected(tb, union(ta, tc)) {
-						moves = append(moves, move{i, mvExchangeLeft, 0})
-					}
-				}
-				if b.Kind == plan.KindJoin {
-					// A⋈(B⋈C) with A=a, B=b.Left, C=b.Right
-					ta, tb, tc := a.BaseTables(), b.Left.BaseTables(), b.Right.BaseTables()
-					if q.Connected(ta, tb) && q.Connected(union(ta, tb), tc) {
-						moves = append(moves, move{i, mvAssocRightToLeft, 0})
-					}
-					if q.Connected(ta, tc) && q.Connected(union(ta, tc), tb) {
-						moves = append(moves, move{i, mvExchangeRight, 0})
-					}
-				}
-				if opts.Commutativity {
-					moves = append(moves, move{i, mvCommute, 0})
-				}
-			}
-			moves = appendAnnMoves(moves, i, mvJoinAnn, plan.KindJoin, opts.Policy)
-		case plan.KindSelect, plan.KindAgg:
-			moves = appendAnnMoves(moves, i, mvSelectAnn, n.Kind, opts.Policy)
-		case plan.KindScan:
-			moves = appendAnnMoves(moves, i, mvScanAnn, plan.KindScan, opts.Policy)
-			moves = appendCopyMoves(moves, i, n, cat, opts.Policy)
+			moves = appendCopyMoves(moves, i, ix.Rels[i], opts.Policy)
 		}
 	}
 	return moves
@@ -219,12 +155,8 @@ func appendAnnMoves(moves []move, i int, kind moveKind, k plan.Kind, p plan.Poli
 // relation. Like annotation moves the targets are slot-based (a relation
 // with m copies always has m-1 alternatives), and they are offered only
 // under policies that can place the scan at a server at all.
-func appendCopyMoves(moves []move, i int, n *plan.Node, cat *catalog.Catalog, p plan.Policy) []move {
-	if p == plan.DataShipping || cat == nil {
-		return moves
-	}
-	rel, ok := cat.Relation(n.Table)
-	if !ok {
+func appendCopyMoves(moves []move, i int, rel *catalog.Relation, p plan.Policy) []move {
+	if p == plan.DataShipping || rel == nil {
 		return moves
 	}
 	for s := 0; s < rel.NumCopies()-1; s++ {
@@ -263,78 +195,82 @@ func targetAnn(n *plan.Node, p plan.Policy, slot int) plan.Annotation {
 	return n.Ann // unreachable for a legal move
 }
 
-// undoRec restores the (at most two) nodes a move rewires, so the search
+// undoRec restores the (at most two) slots a move rewires, so the search
 // can try a candidate in place and revert it without cloning the tree.
 type undoRec struct {
-	n, k          *plan.Node
-	nLeft, nRight *plan.Node
-	kLeft, kRight *plan.Node
+	ix            *plan.Index
+	n, k          int // k is -1 unless the move relinked a second join
+	nLeft, nRight int
+	kLeft, kRight int
 	nAnn, kAnn    plan.Annotation
 	nCopy         int
-	changedShape  bool
 }
 
 // revert undoes the move recorded by applyMove.
 func (u *undoRec) revert() {
-	if u.n != nil {
-		u.n.Left, u.n.Right, u.n.Ann, u.n.Copy = u.nLeft, u.nRight, u.nAnn, u.nCopy
+	if u.ix == nil {
+		return
 	}
-	if u.k != nil {
-		u.k.Left, u.k.Right, u.k.Ann = u.kLeft, u.kRight, u.kAnn
+	if u.k >= 0 {
+		u.ix.SetChildren(u.k, u.kLeft, u.kRight)
+		u.ix.Nodes[u.k].Ann = u.kAnn
 	}
+	u.ix.SetChildren(u.n, u.nLeft, u.nRight)
+	n := u.ix.Nodes[u.n]
+	n.Ann, n.Copy = u.nAnn, u.nCopy
 }
 
-// applyMove mutates the plan in place, records the revert state in u, and
-// reports whether the move changed the tree's shape (invalidating the node
-// index and the cached move list). Neighbors may be ill-formed (annotation
-// cycles); callers must validate via binding, per §2.2.3 ("it is very easy
-// to sort out ill-formed plans during query optimization").
-func applyMove(nodes []*plan.Node, mv move, p plan.Policy, cat *catalog.Catalog, u *undoRec) bool {
-	n := nodes[mv.nodeIdx]
-	*u = undoRec{n: n, nLeft: n.Left, nRight: n.Right, nAnn: n.Ann, nCopy: n.Copy}
-	saveChild := func(k *plan.Node) {
-		u.k, u.kLeft, u.kRight, u.kAnn = k, k.Left, k.Right, k.Ann
+// applyMove mutates the indexed plan in place (links and node pointers
+// alike), records the revert state in u, and reports whether the move
+// changed the tree's shape (invalidating the pre-order, the subtree masks
+// and the cached move list). Neighbors may be ill-formed (annotation cycles); callers must
+// validate via binding, per §2.2.3 ("it is very easy to sort out
+// ill-formed plans during query optimization").
+func applyMove(ix *plan.Index, mv move, p plan.Policy, u *undoRec) bool {
+	i := mv.nodeIdx
+	n := ix.Nodes[i]
+	*u = undoRec{ix: ix, n: i, k: -1, nLeft: ix.Left[i], nRight: ix.Right[i], nAnn: n.Ann, nCopy: n.Copy}
+	saveChild := func(k int) {
+		u.k, u.kLeft, u.kRight, u.kAnn = k, ix.Left[k], ix.Right[k], ix.Nodes[k].Ann
 	}
 	switch mv.kind {
 	case mvAssocLeftToRight:
 		// (A⋈B)⋈C → A⋈(B⋈C); the lower join node is reused for B⋈C.
-		k := n.Left
+		k := ix.Left[i]
 		saveChild(k)
-		a, b, c := k.Left, k.Right, n.Right
-		k.Left, k.Right = b, c
-		n.Left, n.Right = a, k
-		u.changedShape = true
+		a, b, c := ix.Left[k], ix.Right[k], ix.Right[i]
+		ix.SetChildren(k, b, c)
+		ix.SetChildren(i, a, k)
 	case mvExchangeLeft:
 		// (A⋈B)⋈C → B⋈(A⋈C)
-		k := n.Left
+		k := ix.Left[i]
 		saveChild(k)
-		a, b, c := k.Left, k.Right, n.Right
-		k.Left, k.Right = a, c
-		n.Left, n.Right = b, k
-		u.changedShape = true
+		a, b, c := ix.Left[k], ix.Right[k], ix.Right[i]
+		ix.SetChildren(k, a, c)
+		ix.SetChildren(i, b, k)
 	case mvAssocRightToLeft:
 		// A⋈(B⋈C) → (A⋈B)⋈C
-		k := n.Right
+		k := ix.Right[i]
 		saveChild(k)
-		a, b, c := n.Left, k.Left, k.Right
-		k.Left, k.Right = a, b
-		n.Left, n.Right = k, c
-		u.changedShape = true
+		a, b, c := ix.Left[i], ix.Left[k], ix.Right[k]
+		ix.SetChildren(k, a, b)
+		ix.SetChildren(i, k, c)
 	case mvExchangeRight:
 		// A⋈(B⋈C) → (A⋈C)⋈B
-		k := n.Right
+		k := ix.Right[i]
 		saveChild(k)
-		a, b, c := n.Left, k.Left, k.Right
-		k.Left, k.Right = a, c
-		n.Left, n.Right = k, b
-		u.changedShape = true
+		a, b, c := ix.Left[i], ix.Left[k], ix.Right[k]
+		ix.SetChildren(k, a, c)
+		ix.SetChildren(i, k, b)
 	case mvSwapAdjacent:
-		k := n.Left
+		// (X⋈A)⋈B → (X⋈B)⋈A
+		k := ix.Left[i]
 		saveChild(k)
-		k.Right, n.Right = n.Right, k.Right
-		u.changedShape = true
+		x, a, b := ix.Left[k], ix.Right[k], ix.Right[i]
+		ix.SetChildren(k, x, b)
+		ix.SetChildren(i, k, a)
 	case mvCommute:
-		n.Left, n.Right = n.Right, n.Left
+		ix.SetChildren(i, ix.Right[i], ix.Left[i])
 		// Inner/outer annotations follow their operands across the swap so
 		// the commute is a pure build/probe-side change, not a site change.
 		switch n.Ann {
@@ -343,30 +279,12 @@ func applyMove(nodes []*plan.Node, mv move, p plan.Policy, cat *catalog.Catalog,
 		case plan.AnnOuter:
 			n.Ann = plan.AnnInner
 		}
-		u.changedShape = true
 	case mvJoinAnn, mvSelectAnn, mvScanAnn:
 		n.Ann = targetAnn(n, p, mv.slot)
+		return false
 	case mvScanCopy:
-		n.Copy = targetCopy(n, cat.MustRelation(n.Table).NumCopies(), mv.slot)
+		n.Copy = targetCopy(n, ix.Rels[i].NumCopies(), mv.slot)
+		return false
 	}
-	return u.changedShape
-}
-
-// neighbor returns a random legal transformation of the plan, or ok=false
-// if the plan admits no moves. The returned tree is a fresh clone; the
-// input is not modified. It is the non-destructive counterpart of the
-// in-place searchState stepping, kept for one-off exploration and tests.
-func (o *Optimizer) neighbor(root *plan.Node) (*plan.Node, bool) {
-	nodes := indexNodes(root, nil)
-	moves := candidateMoves(o.model.Query, o.opts, o.model.Catalog, nodes, nil)
-	if len(moves) == 0 {
-		return nil, false
-	}
-	o.mu.Lock()
-	mv := moves[o.rng.Intn(len(moves))]
-	o.mu.Unlock()
-	next := root.Clone()
-	var u undoRec
-	applyMove(indexNodes(next, nil), mv, o.opts.Policy, o.model.Catalog, &u)
-	return next, true
+	return true
 }

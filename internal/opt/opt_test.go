@@ -2,6 +2,7 @@ package opt
 
 import (
 	"fmt"
+	"math/rand"
 	"testing"
 	"testing/quick"
 
@@ -39,6 +40,22 @@ func chainEnv(n, servers int, cached float64) (*catalog.Catalog, *query.Query) {
 		panic(err)
 	}
 	return cat, q
+}
+
+// neighbor applies one random legal move to a clone of root, through the
+// same index, move list and applyMove the search steps its working tree
+// with; ok is false when the plan admits no moves.
+func neighbor(o *Optimizer, rng *rand.Rand, root *plan.Node) (*plan.Node, bool) {
+	next := root.Clone()
+	st := newSearch(o, o.opts, rng)
+	st.reset(next, cost.Estimate{})
+	moves := st.ensureMoves()
+	if len(moves) == 0 {
+		return nil, false
+	}
+	var u undoRec
+	applyMove(&st.ix, moves[rng.Intn(len(moves))], o.opts.Policy, &u)
+	return next, true
 }
 
 func newOpt(cat *catalog.Catalog, q *query.Query, pol plan.Policy, metric cost.Metric, seed int64) *Optimizer {
@@ -89,8 +106,9 @@ func TestNeighborPreservesTables(t *testing.T) {
 		t.Fatal(err)
 	}
 	cur := r.Plan
+	rng := rand.New(rand.NewSource(3))
 	for i := 0; i < 500; i++ {
-		next, ok := o.neighbor(cur)
+		next, ok := neighbor(o, rng, cur)
 		if !ok {
 			t.Fatal("no moves available on a 6-way join")
 		}
@@ -121,8 +139,9 @@ func TestNeighborDoesNotMutateInput(t *testing.T) {
 		t.Fatal(err)
 	}
 	before := r.Plan.String()
+	rng := rand.New(rand.NewSource(4))
 	for i := 0; i < 100; i++ {
-		o.neighbor(r.Plan)
+		neighbor(o, rng, r.Plan)
 	}
 	if r.Plan.String() != before {
 		t.Error("neighbor mutated its input plan")
@@ -284,8 +303,9 @@ func TestQuickNeighborsRespectPolicy(t *testing.T) {
 			return false
 		}
 		cur := r.Plan
+		rng := rand.New(rand.NewSource(seed))
 		for i := 0; i < 30; i++ {
-			next, ok := o.neighbor(cur)
+			next, ok := neighbor(o, rng, cur)
 			if !ok {
 				return pol == plan.DataShipping // DS can run out of moves
 			}

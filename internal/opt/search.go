@@ -41,12 +41,15 @@ type memoEntry struct {
 // implementation's inner loop), it applies moves to a single working tree
 // in place and reverts rejected ones from an undo record. It keeps:
 //
-//   - a pre-order node index, rebuilt only when an accepted move changes
-//     the tree's shape (annotation moves leave it valid);
-//   - the cached candidateMoves enumeration, which is a pure function of
-//     the shape and is likewise invalidated only by join-order moves;
-//   - a reusable plan.Binder and cost.Estimator, so evaluating a candidate
-//     allocates no fresh maps;
+//   - a plan.Index of the working tree, built in pre-order at reset, with
+//     each slot's relation, the cost model's per-node facts and the
+//     node's subtree relation mask. The slots are the search's index
+//     space: moves, bindings and cost inputs are slices over them, and a
+//     candidate is bound and priced without touching a map. A move relinks
+//     at most two slots in place, so every per-slot fact outlives it;
+//   - the current pre-order of the slots, the subtree masks and the
+//     cached candidateMoves enumeration, all pure functions of the shape,
+//     recomputed only when an accepted join-order move changes it;
 //   - a (shape, annotations) → estimate memo keyed by plan.AppendKey, so
 //     states the walk revisits (annotation toggles do constantly) are not
 //     re-bound and re-estimated.
@@ -60,11 +63,13 @@ type searchState struct {
 
 	root       *plan.Node
 	est        cost.Estimate
-	nodes      []*plan.Node
+	ix         plan.Index
+	order      []int    // slots in the working tree's pre-order
+	masks      []uint64 // by slot: the base relations under the node
 	moves      []move
 	movesValid bool
 
-	binder    plan.Binder
+	sites     []catalog.SiteID
 	estimator cost.Estimator
 	memo      map[string]memoEntry
 	keyBuf    []byte
@@ -79,25 +84,35 @@ func newSearch(o *Optimizer, opts Options, rng *rand.Rand) *searchState {
 func (st *searchState) reset(root *plan.Node, est cost.Estimate) {
 	st.root = root
 	st.est = est
-	st.nodes = indexNodes(root, st.nodes)
+	m := st.o.model
+	st.ix.Build(root, m.Catalog)
+	st.estimator.Prepare(m, &st.ix)
+	st.masks = scanMasks(m.Query, &st.ix, st.masks)
+	st.reshape()
+}
+
+// reshape recomputes what depends on the tree's shape: the pre-order, the
+// subtree masks and (lazily) the move list.
+func (st *searchState) reshape() {
+	st.order = st.ix.PreOrder(st.order)
+	subtreeMasks(&st.ix, st.order, st.masks)
 	st.movesValid = false
 }
 
 func (st *searchState) ensureMoves() []move {
 	if !st.movesValid {
-		st.moves = candidateMoves(st.o.model.Query, st.opts, st.o.model.Catalog, st.nodes, st.moves)
+		st.moves = candidateMoves(st.o.model.Query, st.opts, &st.ix, st.order, st.masks, st.moves)
 		st.movesValid = true
 	}
 	return st.moves
 }
 
 // accept keeps the last applied move: it records the new estimate and, for
-// shape-changing moves, rebuilds the node index and drops the move cache.
+// shape-changing moves, recomputes the shape-derived state.
 func (st *searchState) accept(e cost.Estimate, changedShape bool) {
 	st.est = e
 	if changedShape {
-		st.nodes = indexNodes(st.root, st.nodes)
-		st.movesValid = false
+		st.reshape()
 	}
 }
 
@@ -110,8 +125,9 @@ func (st *searchState) evaluate() (cost.Estimate, bool) {
 		return e.est, e.ok
 	}
 	var entry memoEntry
-	if b, err := st.binder.Bind(st.root, st.o.model.Catalog, catalog.Client); err == nil {
-		entry = memoEntry{est: st.estimator.Estimate(st.o.model, st.root, b), ok: true}
+	var ok bool
+	if st.sites, ok = st.ix.Bind(catalog.Client, st.sites); ok {
+		entry = memoEntry{est: st.estimator.EstimateIndex(&st.ix, st.sites), ok: true}
 	}
 	if len(st.memo) >= memoMax {
 		clear(st.memo)
@@ -141,7 +157,7 @@ func (st *searchState) descend() {
 			return // no legal moves at all (e.g. DS 2-way join)
 		}
 		mv := moves[st.rng.Intn(len(moves))]
-		changedShape := applyMove(st.nodes, mv, st.opts.Policy, st.o.model.Catalog, &u)
+		changedShape := applyMove(&st.ix, mv, st.opts.Policy, &u)
 		if e, ok := st.evaluate(); ok && st.value(e) < st.value(st.est) {
 			st.accept(e, changedShape)
 			failures = 0
@@ -157,7 +173,7 @@ func (st *searchState) descend() {
 func (st *searchState) anneal() Result {
 	best := st.snapshot()
 	joins := 0
-	for _, n := range st.nodes {
+	for _, n := range st.ix.Nodes {
 		if n.Kind == plan.KindJoin {
 			joins++
 		}
@@ -184,7 +200,7 @@ func (st *searchState) anneal() Result {
 				return best
 			}
 			mv := moves[st.rng.Intn(len(moves))]
-			changedShape := applyMove(st.nodes, mv, st.opts.Policy, st.o.model.Catalog, &u)
+			changedShape := applyMove(&st.ix, mv, st.opts.Policy, &u)
 			e, ok := st.evaluate()
 			if !ok {
 				u.revert()

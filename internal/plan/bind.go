@@ -1,10 +1,6 @@
 package plan
 
-import (
-	"fmt"
-
-	"hybridship/internal/catalog"
-)
+import "hybridship/internal/catalog"
 
 // Binding maps plan nodes to the physical sites where they will execute.
 type Binding map[*Node]catalog.SiteID
@@ -12,27 +8,22 @@ type Binding map[*Node]catalog.SiteID
 // Bind resolves the logical annotations of a plan to physical sites, given a
 // catalog (for primary-copy locations) and the site submitting the query
 // (§2.1: "At runtime, the logical annotations are bound to actual sites").
-//
-// The display and scan operators are resolved first; other operators resolve
-// by following their annotations. A plan whose annotations form a cycle —
-// e.g. a consumer whose child is annotated producer — cannot be resolved and
-// is rejected as ill-formed (§2.2.3).
+// Index.Bind states the rules; a plan whose annotations form a cycle is
+// rejected as ill-formed (§2.2.3).
 func Bind(root *Node, cat *catalog.Catalog, submitSite catalog.SiteID) (Binding, error) {
 	var bd Binder
 	return bd.Bind(root, cat, submitSite)
 }
 
-// Binder resolves plans repeatedly while reusing its internal maps and
-// worklists, so a search loop does not allocate fresh parent and binding
-// maps for every candidate it evaluates. The Binding returned by Bind
-// aliases the Binder's storage and is valid only until the next Bind call;
-// callers that need a persistent Binding must copy it (or use the
-// package-level Bind).
+// Binder is the map-returning form of Index.Bind for callers that bind
+// one plan at a time, reusing its index and map across calls. The Binding
+// returned by Bind aliases the Binder's storage and is valid only until the
+// next Bind call; callers that need a persistent Binding must copy it (or
+// use the package-level Bind).
 type Binder struct {
-	parent     map[*Node]*Node
-	b          Binding
-	unresolved []*Node
-	still      []*Node
+	ix    Index
+	sites []catalog.SiteID
+	b     Binding
 }
 
 // Bind is the reusable-buffer form of the package-level Bind.
@@ -40,103 +31,21 @@ func (bd *Binder) Bind(root *Node, cat *catalog.Catalog, submitSite catalog.Site
 	if err := CheckStructure(root); err != nil {
 		return nil, err
 	}
-	if bd.parent == nil {
-		bd.parent = make(map[*Node]*Node)
-		bd.b = make(Binding)
+	bd.ix.Build(root, cat)
+	sites, ok := bd.ix.Bind(submitSite, bd.sites)
+	bd.sites = sites
+	if !ok {
+		return nil, bd.ix.bindError()
+	}
+	if bd.b == nil {
+		bd.b = make(Binding, len(sites))
 	} else {
-		clear(bd.parent)
 		clear(bd.b)
 	}
-	parent := bd.parent
-	root.Walk(func(n *Node) {
-		if n.Left != nil {
-			parent[n.Left] = n
-		}
-		if n.Right != nil {
-			parent[n.Right] = n
-		}
-	})
-
-	b := bd.b
-	unresolved := bd.unresolved[:0]
-
-	// Pass 1: anchors.
-	root.Walk(func(n *Node) {
-		switch n.Kind {
-		case KindDisplay:
-			b[n] = submitSite
-		case KindScan:
-			switch n.Ann {
-			case AnnClient:
-				b[n] = submitSite
-			case AnnPrimary:
-				rel, ok := cat.Relation(n.Table)
-				if !ok || n.Copy >= rel.NumCopies() {
-					unresolved = append(unresolved, n) // reported below
-					return
-				}
-				// Copy 0 is the primary at Home; higher indices bind the
-				// scan to a secondary replica of the relation.
-				b[n] = rel.CopySite(n.Copy)
-			default:
-				unresolved = append(unresolved, n)
-			}
-		default:
-			unresolved = append(unresolved, n)
-		}
-	})
-	for _, n := range unresolved {
-		if n.Kind == KindScan {
-			rel, ok := cat.Relation(n.Table)
-			if !ok {
-				return nil, fmt.Errorf("plan: scan of unknown relation %q", n.Table)
-			}
-			if n.Ann == AnnPrimary && n.Copy >= rel.NumCopies() {
-				return nil, fmt.Errorf("plan: scan of %q names copy %d, but the relation has %d", n.Table, n.Copy, rel.NumCopies())
-			}
-			return nil, fmt.Errorf("plan: scan of %q has invalid annotation %v", n.Table, n.Ann)
-		}
+	for s, n := range bd.ix.Nodes {
+		bd.b[n] = sites[s]
 	}
-
-	// Pass 2: propagate to fixpoint.
-	refSite := func(n *Node) (*Node, error) {
-		switch {
-		case n.Kind == KindJoin && n.Ann == AnnInner:
-			return n.Left, nil
-		case n.Kind == KindJoin && n.Ann == AnnOuter:
-			return n.Right, nil
-		case (n.Kind == KindSelect || n.Kind == KindAgg) && n.Ann == AnnProducer:
-			return n.Left, nil
-		case (n.Kind == KindJoin || n.Kind == KindSelect || n.Kind == KindAgg) && n.Ann == AnnConsumer:
-			return parent[n], nil
-		}
-		return nil, fmt.Errorf("plan: %v has invalid annotation %v", n.Kind, n.Ann)
-	}
-	still := bd.still[:0]
-	for len(unresolved) > 0 {
-		progress := false
-		still = still[:0]
-		for _, n := range unresolved {
-			ref, err := refSite(n)
-			if err != nil {
-				bd.unresolved, bd.still = unresolved, still
-				return nil, err
-			}
-			if site, ok := b[ref]; ok {
-				b[n] = site
-				progress = true
-			} else {
-				still = append(still, n)
-			}
-		}
-		unresolved, still = still, unresolved
-		if !progress && len(unresolved) > 0 {
-			bd.unresolved, bd.still = unresolved, still
-			return nil, fmt.Errorf("plan: ill-formed: %d operator(s) form an annotation cycle", len(unresolved))
-		}
-	}
-	bd.unresolved, bd.still = unresolved, still
-	return b, nil
+	return bd.b, nil
 }
 
 // WellFormed reports whether the plan's annotations can be bound to sites.

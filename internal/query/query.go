@@ -36,7 +36,8 @@ type Query struct {
 	// Lazily built relation-bitmask tables backing the allocation-free
 	// *Mask methods (the optimizer's hot path evaluates thousands of
 	// candidate plans per query, and per-evaluation map-set allocation
-	// dominated its profile). Guarded by maskOnce: Queries are shared
+	// dominated its profile). Relation i is bit i, which is why Validate
+	// caps a query at MaxRelations. Guarded by maskOnce: Queries are shared
 	// read-only across optimizer workers.
 	maskOnce  sync.Once
 	relMasks  map[string]uint64
@@ -48,9 +49,16 @@ type predMask struct {
 	sel  float64
 }
 
-// Validate checks that predicates reference declared relations and that
-// selectivities are sane.
+// MaxRelations is the widest query the optimizer and cost model take: they
+// represent relation sets as one uint64 bitmask.
+const MaxRelations = 64
+
+// Validate checks that the query fits the bitmask representation, that
+// predicates reference declared relations and that selectivities are sane.
 func (q *Query) Validate() error {
+	if len(q.Relations) > MaxRelations {
+		return fmt.Errorf("query: %d relations, more than the %d the optimizer supports", len(q.Relations), MaxRelations)
+	}
 	rels := make(map[string]bool, len(q.Relations))
 	for _, r := range q.Relations {
 		if rels[r] {
@@ -121,11 +129,6 @@ func (q *Query) JoinSelectivity(a, b map[string]bool) float64 {
 	return sel
 }
 
-// MaskSupported reports whether the bitmask fast path is available: it
-// represents relation sets as single uint64 words, so queries over more
-// than 64 relations must use the map-based methods above.
-func (q *Query) MaskSupported() bool { return len(q.Relations) <= 64 }
-
 func (q *Query) initMasks() {
 	q.maskOnce.Do(func() {
 		q.relMasks = make(map[string]uint64, len(q.Relations))
@@ -142,11 +145,8 @@ func (q *Query) initMasks() {
 }
 
 // RelMask returns the single-bit mask of a base relation, or 0 when the
-// relation is unknown or the query is too wide for masks.
+// relation is unknown.
 func (q *Query) RelMask(name string) uint64 {
-	if !q.MaskSupported() {
-		return 0
-	}
 	q.initMasks()
 	return q.relMasks[name]
 }

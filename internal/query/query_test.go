@@ -1,6 +1,8 @@
 package query
 
 import (
+	"fmt"
+	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -35,6 +37,32 @@ func TestValidate(t *testing.T) {
 		if err := q.Validate(); err == nil {
 			t.Errorf("bad query %d accepted", i)
 		}
+	}
+}
+
+// TestValidateRejectsWideQueries: relation sets are single uint64 masks, so
+// a 64-way chain is the widest query Validate admits.
+func TestValidateRejectsWideQueries(t *testing.T) {
+	wide := func(n int) *Query {
+		q := &Query{ResultTupleBytes: 100}
+		for i := 0; i < n; i++ {
+			q.Relations = append(q.Relations, fmt.Sprintf("R%d", i))
+			if i > 0 {
+				q.Preds = append(q.Preds, Pred{A: q.Relations[i-1], B: q.Relations[i], Selectivity: 0.5})
+			}
+		}
+		return q
+	}
+	q64 := wide(MaxRelations)
+	if err := q64.Validate(); err != nil {
+		t.Fatalf("%d-way query rejected: %v", MaxRelations, err)
+	}
+	if m := q64.RelMask("R63"); m != 1<<63 {
+		t.Errorf("RelMask(R63) = %#x, want bit 63", m)
+	}
+	err := wide(MaxRelations + 1).Validate()
+	if err == nil || !strings.Contains(err.Error(), "65 relations") {
+		t.Errorf("65-way query: Validate error %v, want one naming the 65 relations", err)
 	}
 }
 
